@@ -3,50 +3,55 @@ tournaments, and cycles of every length through any chosen vertex."""
 
 from __future__ import annotations
 
-from .core import Cycle, Path, Tournament, bits, is_cycle, mask_of
+from .core import Cycle, Path, Tournament, VertexRangeError, bits, is_cycle, mask_of
 
 
 class NotStrongError(ValueError):
     """Raised when an operation requires a strongly connected tournament."""
 
 
-def _require_strong(t: Tournament) -> None:
-    comps = t.strong_components()
+# Every kernel below works on the subtournament induced by a vertex mask of the
+# parent tournament (all vertices by default) and returns parent labels.  Ties
+# always go to the lower label, so a result equals the one computed on
+# ``t.induced(...)`` and mapped back through its order-preserving relabelling.
+
+
+def _require_strong(t: Tournament, mask: int) -> None:
+    comps = t.strong_components(mask)
     if len(comps) > 1:
         top = sorted(comps[0])
         rest = sorted(v for c in comps[1:] for v in c)
         raise NotStrongError(f"not strong: {top} dominates {rest}")
 
 
-def hamiltonian_path(t: Tournament) -> Path:
-    """Insertion construction: each vertex goes into the first feasible slot."""
-    path: list[int] = [0]
-    for v in range(1, t.n):
-        for i in range(len(path) + 1):
-            ok_left = i == 0 or t.arc(path[i - 1], v)
-            ok_right = i == len(path) or t.arc(v, path[i])
-            if ok_left and ok_right:
-                path.insert(i, v)
-                break
-        else:  # a feasible slot always exists in a tournament
-            raise AssertionError("no feasible insertion slot")
+def hamiltonian_path(t: Tournament, mask: int | None = None) -> Path:
+    """Insertion construction in ascending label order: each vertex goes into
+    the first feasible slot, which is just before the first path vertex it
+    beats (or at the end when it beats none)."""
+    rows = t.rows
+    path: list[int] = []
+    for v in bits(t._scope(mask)):
+        row = rows[v]
+        slot = next((i for i, w in enumerate(path) if row >> w & 1), len(path))
+        path.insert(slot, v)
     return tuple(path)
 
 
-def _triangle_through(t: Tournament, v: int) -> Cycle:
-    """Lowest-labeled 3-cycle through v; exists whenever t is strong and n >= 3."""
-    out = t.out_mask(v)
-    inc = t.in_mask(v)
-    for x in bits(out):
-        hit = t.out_mask(x) & inc
+def _triangle_through(t: Tournament, v: int, mask: int) -> Cycle:
+    """Lowest-labeled 3-cycle through v inside ``mask``; exists whenever the
+    subtournament is strong and has at least 3 vertices."""
+    rows = t.rows
+    inc = t.cols[v] & mask
+    for x in bits(rows[v] & mask):
+        hit = rows[x] & inc
         if hit:
-            y = next(bits(hit))
-            return (v, x, y)
+            return (v, x, next(bits(hit)))
     raise NotStrongError(f"no 3-cycle through vertex {v}")
 
 
-def _grow_cycle(t: Tournament, cycle: Cycle, keep: int | None) -> Cycle:
-    """One growth step: a cycle one vertex longer, never dropping ``keep``.
+def _grow_cycle(t: Tournament, cycle: Cycle, keep: int | None, mask: int) -> Cycle:
+    """One growth step inside ``mask``: a cycle one vertex longer, never
+    dropping ``keep``.
 
     If some outside vertex has arcs both into and out of the cycle it is
     spliced between a dominating/dominated consecutive pair, preserving every
@@ -54,24 +59,27 @@ def _grow_cycle(t: Tournament, cycle: Cycle, keep: int | None) -> Cycle:
     and fully dominated ones; an arc from the dominated side to the dominating
     side replaces a single cycle vertex with that vertex pair.
     """
+    rows, cols = t.rows, t.cols
     cmask = mask_of(cycle)
-    outside = t.full_mask & ~cmask
+    outside = mask & ~cmask
     m = len(cycle)
     for u in bits(outside):
-        if t.out_mask(u) & cmask and t.in_mask(u) & cmask:
+        if rows[u] & cmask and cols[u] & cmask:
+            row, col = rows[u], cols[u]
             for i in range(m):
-                if t.arc(cycle[i], u) and t.arc(u, cycle[(i + 1) % m]):
+                if col >> cycle[i] & 1 and row >> cycle[(i + 1) % m] & 1:
                     return cycle[: i + 1] + (u,) + cycle[i + 1 :]
             raise AssertionError("mixed vertex with no insertion point")
-    dominated = [u for u in bits(outside) if not t.out_mask(u) & cmask]
-    dominators = [u for u in bits(outside) if not t.in_mask(u) & cmask]
+    dominated = [u for u in bits(outside) if not rows[u] & cmask]
+    dominators = mask_of(u for u in bits(outside) if not cols[u] & cmask)
     for b in dominated:
-        for a in dominators:
-            if t.arc(b, a):
-                drop = min(v for v in cycle if v != keep)
-                i = cycle.index(drop)
-                rotated = cycle[i:] + cycle[:i]  # rotated[0] is dropped
-                return (rotated[-1], b, a) + rotated[1:-1]
+        hit = rows[b] & dominators
+        if hit:
+            a = next(bits(hit))
+            drop = min(v for v in cycle if v != keep)
+            i = cycle.index(drop)
+            rotated = cycle[i:] + cycle[:i]  # rotated[0] is dropped
+            return (rotated[-1], b, a) + rotated[1:-1]
     raise NotStrongError("cycle cannot be extended; tournament is not strong")
 
 
@@ -81,42 +89,44 @@ def extend_cycle(t: Tournament, cycle: Cycle) -> Cycle:
         raise ValueError(f"not a valid cycle: {cycle}")
     if len(cycle) >= t.n:
         raise ValueError("cycle is already Hamiltonian")
-    _require_strong(t)
-    return _grow_cycle(t, cycle, keep=None)
+    _require_strong(t, t.full_mask)
+    return _grow_cycle(t, cycle, None, t.full_mask)
 
 
-def hamiltonian_cycle(t: Tournament) -> Cycle:
-    if t.n < 3:
-        raise NotStrongError(f"no cycle exists on {t.n} vertex(es)")
-    _require_strong(t)
-    cycle = _triangle_through(t, 0)
-    while len(cycle) < t.n:
-        cycle = _grow_cycle(t, cycle, keep=None)
+def hamiltonian_cycle(t: Tournament, mask: int | None = None) -> Cycle:
+    mask = t._scope(mask)
+    size = mask.bit_count()
+    if size < 3:
+        raise NotStrongError(f"no cycle exists on {size} vertex(es)")
+    _require_strong(t, mask)
+    cycle = _triangle_through(t, next(bits(mask)), mask)
+    while len(cycle) < size:
+        cycle = _grow_cycle(t, cycle, None, mask)
     return cycle
 
 
-def cycle_of_length(t: Tournament, length: int) -> Cycle:
-    _require_strong(t)
-    if not 3 <= length <= t.n:
-        raise ValueError(f"cycle length {length} outside 3..{t.n}")
-    cycle = _triangle_through(t, 0)
+def cycle_of_length(t: Tournament, length: int, mask: int | None = None) -> Cycle:
+    mask = t._scope(mask)
+    _require_strong(t, mask)
+    if not 3 <= length <= mask.bit_count():
+        raise ValueError(f"cycle length {length} outside 3..{mask.bit_count()}")
+    cycle = _triangle_through(t, next(bits(mask)), mask)
     while len(cycle) < length:
-        cycle = _grow_cycle(t, cycle, keep=None)
+        cycle = _grow_cycle(t, cycle, None, mask)
     return cycle
 
 
-def cycle_through_vertex(t: Tournament, v: int, length: int) -> Cycle:
-    """A cycle of exactly ``length`` vertices containing v (t strong)."""
+def cycle_through_vertex(t: Tournament, v: int, length: int, mask: int | None = None) -> Cycle:
+    """A cycle of exactly ``length`` vertices containing v (the subtournament
+    on ``mask`` strong)."""
     t._check_vertex(v)
-    _require_strong(t)
-    if not 3 <= length <= t.n:
-        raise ValueError(f"cycle length {length} outside 3..{t.n}")
-    cycle = _triangle_through(t, v)
+    mask = t._scope(mask)
+    if not mask >> v & 1:
+        raise VertexRangeError(f"vertex {v} outside the mask")
+    _require_strong(t, mask)
+    if not 3 <= length <= mask.bit_count():
+        raise ValueError(f"cycle length {length} outside 3..{mask.bit_count()}")
+    cycle = _triangle_through(t, v, mask)
     while len(cycle) < length:
-        cycle = _grow_cycle(t, cycle, keep=v)
+        cycle = _grow_cycle(t, cycle, v, mask)
     return cycle
-
-
-def lifted(seq: tuple[int, ...], label_map: tuple[int, ...]) -> tuple[int, ...]:
-    """Map an induced-subtournament vertex sequence back to parent labels."""
-    return tuple(label_map[v] for v in seq)

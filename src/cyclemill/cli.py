@@ -2,7 +2,8 @@
 
 Exit codes: 0 success / target met; 1 valid run whose target was not met
 (short packing, failed verification, or a search violator); 2 usage or
-validation error; 3 exact computation refused (cycle cap)."""
+validation error; 3 exact computation refused (cycle cap); 4 internal error
+(any other exception, reported in one line on stderr)."""
 
 from __future__ import annotations
 
@@ -232,6 +233,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # keep exit code 1 meaning "target missed" only
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

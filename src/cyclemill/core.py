@@ -152,20 +152,33 @@ class Tournament:
             rows.append(row)
         return Tournament(rows), old
 
-    def strong_components(self) -> list[VertexSet]:
-        """Strongly connected components, ordered so each dominates all later ones.
+    def _scope(self, mask: int | None) -> int:
+        """The vertex mask a kernel works on: ``mask``, or every vertex when None."""
+        if mask is None:
+            return self.full_mask
+        if mask & ~self.full_mask:
+            raise VertexRangeError(f"mask references vertices outside 0..{self.n - 1}")
+        return mask
+
+    def strong_components(self, mask: int | None = None) -> list[VertexSet]:
+        """Strongly connected components of the subtournament on ``mask`` (all
+        vertices by default), ordered so each dominates all later ones.
 
         A prefix of the out-degree-descending vertex order is a union of top
         components exactly when it dominates the rest, i.e. when its degree sum
         equals C(p,2) + p*(n-p); components never interleave in that order.
+        Degrees count only arcs inside the mask; ties go to the lower label.
         """
-        n = self.n
-        order = sorted(range(n), key=lambda v: (-self.rows[v].bit_count(), v))
+        mask = self._scope(mask)
+        rows = self.rows
+        n = mask.bit_count()
+        deg = {v: (rows[v] & mask).bit_count() for v in bits(mask)}
+        order = sorted(deg, key=lambda v: -deg[v])
         comps: list[VertexSet] = []
         start = 0
         degsum = 0
         for p, v in enumerate(order, 1):
-            degsum += self.rows[v].bit_count()
+            degsum += deg[v]
             if degsum - p * (p - 1) // 2 == p * (n - p):
                 comps.append(frozenset(order[start:p]))
                 start = p
@@ -208,7 +221,9 @@ def is_path(t: Tournament, seq: Sequence[int]) -> bool:
         return False
     if any(not 0 <= v < t.n for v in seq):
         return False
-    return all(t.arc(a, b) for a, b in zip(seq, seq[1:]))
+    rows = t.rows
+    return all(rows[a] >> b & 1 for a, b in zip(seq, seq[1:]))
+
 
 def is_cycle(t: Tournament, seq: Sequence[int]) -> bool:
     """A valid directed cycle: at least 3 distinct vertices, all arcs present."""

@@ -230,7 +230,7 @@ def _plant_absorb(q: int, seed: int):
         w = next(
             v
             for v in range(q)
-            if len(sub.induced([x for x in range(q) if x != v])[0].strong_components()) == 1
+            if len(sub.strong_components(sub.full_mask & ~(1 << v))) == 1
         )
     core = [v for v in range(q) if v != w]
     u = q

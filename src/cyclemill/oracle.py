@@ -26,37 +26,44 @@ def enumerate_q_cycles(t: Tournament, q: int, cap: int = DEFAULT_CYCLE_CAP) -> t
     """
     if q < 3:
         raise ValueError("cycle length must be at least 3")
+    rows = t.rows
     found: list[Cycle] = []
     overflow = False
-    for comp in t.strong_components():
-        if len(comp) < q:
-            continue
-        comp_mask = mask_of(comp)
-        for start in sorted(comp):
-            allowed = comp_mask & ~((1 << (start + 1)) - 1)  # vertices above start
-            path = [start]
 
-            def dfs(used: int) -> bool:
-                nonlocal overflow
-                last = path[-1]
-                if len(path) == q:
-                    if t.arc(last, start):
-                        if len(found) >= cap:
-                            overflow = True
-                            return False
-                        found.append(tuple(path))
-                    return True
-                for v in bits(t.out_mask(last) & allowed & ~used):
-                    path.append(v)
-                    ok = dfs(used | (1 << v))
-                    path.pop()
-                    if not ok:
-                        return False
-                return True
+    def dfs(used: int) -> bool:
+        nonlocal overflow
+        last = path[-1]
+        if len(path) == q:
+            if rows[last] >> start & 1:
+                if len(found) >= cap:
+                    overflow = True
+                    return False
+                found.append(tuple(path))
+            return True
+        for v in bits(rows[last] & allowed & ~used):
+            path.append(v)
+            ok = dfs(used | (1 << v))
+            path.pop()
+            if not ok:
+                return False
+        return True
 
-            if not dfs(1 << start):
-                return found, True
-    return found, overflow
+    try:
+        for comp in t.strong_components():
+            if len(comp) < q:
+                continue
+            comp_mask = mask_of(comp)
+            for start in sorted(comp):
+                allowed = comp_mask & ~((1 << (start + 1)) - 1)  # vertices above start
+                path = [start]
+                if not dfs(1 << start):
+                    return found, True
+        return found, overflow
+    finally:
+        # dfs reaches itself through its closure.  Breaking that reference
+        # cycle lets reference counting free ``found`` as soon as the caller
+        # drops it, instead of at the next full garbage collection.
+        del dfs
 
 
 def max_disjoint_q_cycles(
@@ -115,7 +122,10 @@ def _branch_and_bound(
                 return False
         return search(free & ~(1 << v))
 
-    search(t.full_mask)
+    try:
+        search(t.full_mask)
+    finally:
+        del search  # break the closure's self-reference, as in enumerate_q_cycles
     witness = CyclePacking(q, tuple(cycles[i] for i in best))
     return len(best), witness
 

@@ -14,9 +14,8 @@ from .classic import (
     cycle_through_vertex,
     hamiltonian_cycle,
     hamiltonian_path,
-    lifted,
 )
-from .core import Cycle, Path, Tournament, VertexSet, bits, is_cycle, mask_of
+from .core import Cycle, Path, Tournament, VertexSet, bits, is_cycle, is_path, mask_of
 from .matching import dominating_vertices, max_matching_with_cover
 
 
@@ -85,32 +84,6 @@ class PackReport:
         return "\n".join(lines) + "\n"
 
 
-def _ham_cycle_within(t: Tournament, vertices: Iterable[int]) -> Cycle:
-    sub, label = t.induced(vertices)
-    return lifted(hamiltonian_cycle(sub), label)
-
-
-def _ham_path_within(t: Tournament, vertices: Iterable[int]) -> Path:
-    vs = set(vertices)
-    if not vs:
-        return ()
-    sub, label = t.induced(vs)
-    return lifted(hamiltonian_path(sub), label)
-
-
-def _cycle_of_length_within(t: Tournament, vertices: Iterable[int], length: int) -> Cycle:
-    sub, label = t.induced(vertices)
-    return lifted(cycle_of_length(sub, length), label)
-
-
-def _is_strong_within(t: Tournament, vertices: Iterable[int]) -> bool:
-    vs = set(vertices)
-    if len(vs) < 2:
-        return True
-    sub, _ = t.induced(vs)
-    return len(sub.strong_components()) == 1
-
-
 def greedy_maximal_packing(t: Tournament, q: int, start: Iterable[Cycle] = ()) -> CyclePacking:
     """Extend ``start`` with q-cycles taken from large strong components of the
     remainder until the remainder is q-cycle-free."""
@@ -124,11 +97,10 @@ def greedy_maximal_packing(t: Tournament, q: int, start: Iterable[Cycle] = ()) -
         free = t.full_mask & ~used
         if free.bit_count() < q:
             break
-        sub, label = t.induced(bits(free))
-        comp = next((c for c in sub.strong_components() if len(c) >= q), None)
+        comp = next((c for c in t.strong_components(free) if len(c) >= q), None)
         if comp is None:
             break
-        cycle = lifted(_cycle_of_length_within(sub, comp, q), label)
+        cycle = cycle_of_length(t, q, mask_of(comp))
         cycles.append(cycle)
         used |= mask_of(cycle)
     return CyclePacking(q, tuple(cycles))
@@ -139,7 +111,7 @@ def partition_remainder(t: Tournament, packing: CyclePacking) -> PathPartition:
     A remainder shorter than 4q-5 yields a degenerate partition (empty u2)."""
     q = packing.q
     free = t.full_mask & ~packing.vertex_mask()
-    path = _ham_path_within(t, bits(free))
+    path = hamiltonian_path(t, free)
     r = len(path)
     u1 = frozenset(path[max(0, r - (q + 1)):])
     if r >= 4 * q - 5:
@@ -201,25 +173,24 @@ def move_absorb(
     """Swap one outside vertex into a packed cycle so the freed vertex completes
     a new q-cycle in the remainder: one packed cycle becomes two."""
     q = packing.q
-    rem = set(partition.path)
+    rem = mask_of(partition.path)
     for idx, cycle in enumerate(packing.cycles):
         for w in sorted(cycle):
-            core = [v for v in cycle if v != w]
-            if q >= 4 and not _is_strong_within(t, core):
+            core_mask = mask_of(cycle) & ~(1 << w)
+            if q >= 4 and len(t.strong_components(core_mask)) != 1:
                 continue
-            core_mask = mask_of(core)
-            for u in sorted(rem):
+            for u in bits(rem):
                 if not (t.in_mask(u) & core_mask and t.out_mask(u) & core_mask):
                     continue
-                if not _is_strong_within(t, core + [u]):
+                grown = core_mask | 1 << u
+                if len(t.strong_components(grown)) != 1:
                     continue
-                replacement = _ham_cycle_within(t, core + [u])
-                new_rem = (rem - {u}) | {w}
-                sub, label = t.induced(new_rem)
-                comp = next((c for c in sub.strong_components() if len(c) >= q), None)
+                replacement = hamiltonian_cycle(t, grown)
+                new_rem = rem & ~(1 << u) | 1 << w
+                comp = next((c for c in t.strong_components(new_rem) if len(c) >= q), None)
                 if comp is None:
                     continue
-                harvested = lifted(_cycle_of_length_within(sub, comp, q), label)
+                harvested = cycle_of_length(t, q, mask_of(comp))
                 cycles = list(packing.cycles)
                 cycles[idx] = replacement
                 cycles.append(harvested)
@@ -370,12 +341,11 @@ def grow_tail(
     """
     q = packing.q
     free = t.full_mask & ~packing.vertex_mask()
-    if set(path) != set(bits(free)) or not is_path_of(t, path):
+    if set(path) != set(bits(free)) or not is_path(t, path):
         raise ValueError("path is not a Hamiltonian path of the remainder")
     if not path:
         return None
-    sub, label = t.induced(bits(free))
-    comps = [frozenset(label[v] for v in c) for c in sub.strong_components()]
+    comps = t.strong_components(free)
     if any(len(c) >= q for c in comps):
         raise ValueError("remainder already contains a q-cycle")
     if not packing.cycles or q < 7:
@@ -392,12 +362,6 @@ def grow_tail(
     if len(b_block) >= 3:
         return _grow_from_pretail(t, packing, path, b_block)
     return _grow_from_nothing(t, packing, path)
-
-
-def is_path_of(t: Tournament, path: Path) -> bool:
-    return len(path) == 0 or (
-        len(set(path)) == len(path) and all(t.arc(a, b) for a, b in zip(path, path[1:]))
-    )
 
 
 def _swap_cycle(packing: CyclePacking, old: Cycle, new: Cycle) -> CyclePacking:
@@ -435,13 +399,13 @@ def _grow_from_nothing(
     if uj is None:
         return None
     try:
-        fresh = _ham_cycle_within(t, set(inner) | {u2, ui})
+        fresh = hamiltonian_cycle(t, mask_of(set(inner) | {u2, ui}))
     except NotStrongError:
         return None
     tail = (u1, x, y, uj)
     assert is_cycle(t, tail)
     new_packing = _swap_cycle(packing, ci, fresh)
-    stem = _ham_path_within(t, set(path[:-2]) - {ui, uj})
+    stem = hamiltonian_path(t, mask_of(set(path[:-2]) - {ui, uj}))
     new_path = stem + tail
     return new_packing, tail, new_path
 
@@ -468,7 +432,7 @@ def _grow_from_pretail(
             return None
         if t.out_mask(x) & mask_of(b_block):
             try:
-                fresh = _ham_cycle_within(t, b_block | {x})
+                fresh = hamiltonian_cycle(t, mask_of(b_block | {x}))
             except NotStrongError:
                 return None
             new_packing = _swap_cycle(packing, ci, fresh)
@@ -478,13 +442,12 @@ def _grow_from_pretail(
         if ui is None:
             return None
         try:
-            sub, lab = t.induced(b_block | {x, ui})
-            fresh = lifted(cycle_through_vertex(sub, lab.index(x), q), lab)
+            fresh = cycle_through_vertex(t, x, q, mask_of(b_block | {x, ui}))
         except (NotStrongError, ValueError):
             return None
         leftover = next(iter((b_block | {x, ui}) - set(fresh)))
         new_packing = _swap_cycle(packing, ci, fresh)
-        stem = _ham_path_within(t, set(pprime) - {ui})
+        stem = hamiltonian_path(t, mask_of(set(pprime) - {ui}))
         new_path = stem + (leftover, u1) + rotated
         return new_packing, inner, new_path
 
@@ -499,25 +462,25 @@ def _grow_from_pretail(
             return None
         _, ui = picked
         try:
-            fresh = _ham_cycle_within(t, set(inner) | {u1, ui})
-            tail = _ham_cycle_within(t, b_block | {x, y})
+            fresh = hamiltonian_cycle(t, mask_of(set(inner) | {u1, ui}))
+            tail = hamiltonian_cycle(t, mask_of(b_block | {x, y}))
         except NotStrongError:
             return None
         new_packing = _swap_cycle(packing, ci, fresh)
         rotated = _rotate_to_member(tail, set(b_block))
-        stem = _ham_path_within(t, set(pprime) - {ui})
+        stem = hamiltonian_path(t, mask_of(set(pprime) - {ui}))
         return new_packing, tail, stem + rotated
 
     if t.arc(y, u1):  # absorb the whole tail vertex into the packed cycle first
         try:
-            grown = _ham_cycle_within(t, ci_set | {u1})
+            grown = hamiltonian_cycle(t, mask_of(ci_set | {u1}))
         except NotStrongError:
             return None
         fresh, z = surgery.fact2_shrink(t, grown)
         new_packing = _swap_cycle(packing, ci, fresh)
         if t.out_mask(z) & bmask and t.arcs_between(b_block, [z]) >= 1:
             try:
-                tail = _ham_cycle_within(t, b_block | {z})
+                tail = hamiltonian_cycle(t, mask_of(b_block | {z}))
             except NotStrongError:
                 return None
             rotated = _rotate_to_member(tail, set(b_block))
@@ -526,11 +489,11 @@ def _grow_from_pretail(
         if ui is None or not t.arcs_between(b_block, [z]):
             return None
         try:
-            tail = _ham_cycle_within(t, b_block | {z, ui})
+            tail = hamiltonian_cycle(t, mask_of(b_block | {z, ui}))
         except NotStrongError:
             return None
         rotated = _rotate_to_member(tail, set(b_block))
-        stem = _ham_path_within(t, set(pprime) - {ui})
+        stem = hamiltonian_path(t, mask_of(set(pprime) - {ui}))
         return new_packing, tail, stem + rotated
 
     # y sends nothing into the tail side at all
@@ -542,13 +505,13 @@ def _grow_from_pretail(
     if us is None:
         return None
     try:
-        fresh = _ham_cycle_within(t, set(inner) | {u1, ui})
-        tail = _ham_cycle_within(t, b_block | {x, y, us})
+        fresh = hamiltonian_cycle(t, mask_of(set(inner) | {u1, ui}))
+        tail = hamiltonian_cycle(t, mask_of(b_block | {x, y, us}))
     except NotStrongError:
         return None
     new_packing = _swap_cycle(packing, ci, fresh)
     rotated = _rotate_to_member(tail, set(b_block))
-    stem = _ham_path_within(t, set(pprime) - {ui, us})
+    stem = hamiltonian_path(t, mask_of(set(pprime) - {ui, us}))
     return new_packing, tail, stem + rotated
 
 
@@ -579,41 +542,40 @@ def _grow_existing(
     if size >= 4:
         if t.out_mask(y) & bmask:
             us = next(v for v in sorted(block) if t.arc(y, v))
-            sub, lab = t.induced(block)
-            short = lifted(cycle_through_vertex(sub, lab.index(us), size - 1), lab)
+            short = cycle_through_vertex(t, us, size - 1, bmask)
             leftover = next(iter(block - set(short)))
             if not any(t.arc(v, x) for v in short):
                 return None
             try:
-                tail = _ham_cycle_within(t, set(short) | {x, y})
-                fresh = _ham_cycle_within(t, set(inner) | {leftover, ui})
+                tail = hamiltonian_cycle(t, mask_of(set(short) | {x, y}))
+                fresh = hamiltonian_cycle(t, mask_of(set(inner) | {leftover, ui}))
             except NotStrongError:
                 return None
             new_packing = _swap_cycle(packing, ci, fresh)
             rotated = _rotate_to_member(tail, set(block))
-            stem = _ham_path_within(t, set(pprime) - {ui})
+            stem = hamiltonian_path(t, mask_of(set(pprime) - {ui}))
             return new_packing, tail, stem + rotated
         us = _tail_scan(t, y, pprime, skip={ui})
         if us is None:
             return None
-        short = _cycle_of_length_within(t, block, size - 1)
+        short = cycle_of_length(t, size - 1, bmask)
         leftover = next(iter(block - set(short)))
         if not any(t.arc(v, x) for v in short):
             return None
         try:
-            fresh = _ham_cycle_within(t, set(inner) | {leftover, ui})
-            tail = _ham_cycle_within(t, set(short) | {x, y, us})
+            fresh = hamiltonian_cycle(t, mask_of(set(inner) | {leftover, ui}))
+            tail = hamiltonian_cycle(t, mask_of(set(short) | {x, y, us}))
         except NotStrongError:
             return None
         new_packing = _swap_cycle(packing, ci, fresh)
         rotated = _rotate_to_member(tail, set(block))
-        stem = _ham_path_within(t, set(pprime) - {ui, us})
+        stem = hamiltonian_path(t, mask_of(set(pprime) - {ui, us}))
         return new_packing, tail, stem + rotated
 
     # triangle tail
     if t.arcs_between(ci_set, block) > 1:
         return None
-    tri = _ham_cycle_within(t, block)
+    tri = hamiltonian_cycle(t, bmask)
     hits = [v for v in tri if t.arc(y, v)]
     if len(hits) == 1:
         anchor = hits[0]
@@ -625,11 +587,11 @@ def _grow_existing(
         tail = (anchor, second, x, y)
         assert is_cycle(t, tail)
         try:
-            fresh = _ham_cycle_within(t, set(inner) | {third, ui})
+            fresh = hamiltonian_cycle(t, mask_of(set(inner) | {third, ui}))
         except NotStrongError:
             return None
         new_packing = _swap_cycle(packing, ci, fresh)
-        stem = _ham_path_within(t, set(pprime) - {ui})
+        stem = hamiltonian_path(t, mask_of(set(pprime) - {ui}))
         return new_packing, tail, stem + tail
     if hits:
         return None
@@ -642,11 +604,11 @@ def _grow_existing(
             tail = (first, second, x, y, us)
             assert is_cycle(t, tail)
             try:
-                fresh = _ham_cycle_within(t, set(inner) | {third, ui})
+                fresh = hamiltonian_cycle(t, mask_of(set(inner) | {third, ui}))
             except NotStrongError:
                 return None
             new_packing = _swap_cycle(packing, ci, fresh)
-            stem = _ham_path_within(t, set(pprime) - {ui, us})
+            stem = hamiltonian_path(t, mask_of(set(pprime) - {ui, us}))
             return new_packing, tail, stem + tail
     return None
 

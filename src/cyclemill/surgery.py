@@ -28,8 +28,7 @@ def fact1_shrink(t: Tournament, cycle: Cycle) -> tuple[Cycle, int]:
     if not is_cycle(t, cycle):
         raise ValueError(f"not a valid cycle: {cycle}")
     cmask = mask_of(cycle)
-    sub, label = t.induced(cycle)
-    shorter = classic.lifted(classic.cycle_of_length(sub, m - 1), label)
+    shorter = classic.cycle_of_length(t, m - 1, cmask)
     u = next(bits(cmask & ~mask_of(shorter)))
     if _out_into(t, u, cmask) <= m - 3:
         return shorter, u
@@ -159,5 +158,4 @@ def splice_and_trim(
         raise ValueError(f"assembled cycle has {len(assembled)} < {q} vertices")
     if len(assembled) == q:
         return assembled
-    sub, label = t.induced(assembled)
-    return classic.lifted(classic.cycle_of_length(sub, q), label)
+    return classic.cycle_of_length(t, q, mask_of(assembled))

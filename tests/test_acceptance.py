@@ -29,8 +29,7 @@ from cyclemill import (
     verify_packing,
 )
 from cyclemill.claims import random_strong_tournament, run_claim_check
-from cyclemill.core import bits, mask_of
-from cyclemill.packer import is_path_of
+from cyclemill.core import bits, is_path, mask_of
 
 
 def report(criterion, ok, detail):
@@ -187,7 +186,7 @@ def test_criterion_7_planted_move_coverage():
                 good = (
                     len(tail) > old
                     and is_cycle(t, tail)
-                    and is_path_of(t, new_path)
+                    and is_path(t, new_path)
                     and new_path
                     and new_path[-1] in tail
                     and set(new_path) == set(bits(free))

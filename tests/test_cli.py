@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from cyclemill import trn
+from cyclemill import cli, trn
 from cyclemill.cli import main
 
 PALEY_ARGS = ["gen", "--kind", "rotational", "--n", "7", "--symbols", "1,2,4"]
@@ -153,3 +153,15 @@ class TestHamcycle:
         t4 = tmp_path / "t4.trn"
         t4.write_text("4\n0111\n0011\n0001\n0000\n")
         assert main(["hamcycle", "--input", str(t4)]) == 2
+
+
+class TestInternalError:
+    def test_unexpected_exception_exit_4(self, paley_file, monkeypatch, capsys):
+        def crash(args):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(cli, "_cmd_oracle", crash)
+        assert main(["oracle", "--q", "3", "--input", paley_file]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "internal error: RecursionError: maximum recursion depth exceeded\n"

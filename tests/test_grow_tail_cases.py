@@ -4,8 +4,7 @@ import pytest
 
 import tailcases
 from cyclemill import grow_tail, is_cycle, partition_remainder, verify_packing
-from cyclemill.core import bits
-from cyclemill.packer import is_path_of
+from cyclemill.core import bits, is_path
 
 Q = 9
 
@@ -27,7 +26,7 @@ def run_case(t, packing, expected_tail):
     assert len(tail) == expected_tail
     assert len(tail) > old_tail
     assert is_cycle(t, tail)
-    assert is_path_of(t, new_path)
+    assert is_path(t, new_path)
     assert new_path[-1] in tail
     assert verify_packing(t, new_packing, packing.q, len(packing.cycles)) == (True, None)
     free = t.full_mask & ~new_packing.vertex_mask()

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -144,3 +145,28 @@ class TestSearch:
         spec = SearchSpec(q=3, k=1, n_range=(9, 9), degree_floor=0)
         with pytest.raises(ValueError, match="exhaustive"):
             counterexample_search(spec)
+
+
+class TestNoCyclicGarbage:
+    """The oracle's recursive searches must leave nothing for the cycle
+    collector, so their cycle lists die with the caller's last reference."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda t: enumerate_q_cycles(t, 4),
+            lambda t: enumerate_q_cycles(t, 4, cap=10),  # the overflow exit
+            lambda t: max_disjoint_q_cycles(t, 3),
+            lambda t: max_disjoint_q_cycles(t, 3, limit=1),  # the early stop
+        ],
+        ids=["enumerate", "enumerate-overflow", "max", "max-limit"],
+    )
+    def test_collector_finds_nothing(self, call):
+        t = random_tournament(12, 5)
+        gc.collect()
+        gc.disable()
+        try:
+            call(t)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

@@ -21,8 +21,7 @@ from cyclemill import (
     select_receptive_cycle,
     verify_packing,
 )
-from cyclemill.core import bits
-from cyclemill.packer import is_path_of
+from cyclemill.core import bits, is_path
 
 
 class TestGreedy:
@@ -68,7 +67,7 @@ class TestPartition:
     def test_block_remainder(self):
         t = q_cycle_free_tournament(26, 5, 8)
         part = partition_remainder(t, CyclePacking(5, ()))
-        assert is_path_of(t, part.path)
+        assert is_path(t, part.path)
         assert len(part.u1) == 6 and len(part.s) == 9
         assert part.u1 | part.s | part.u2 == frozenset(range(26))
 
@@ -265,7 +264,7 @@ class TestGrowTail:
         old = max(len(c) for c in t.induced(set(part.path))[0].strong_components())
         new_packing, tail, path = grow_tail(t, packing, part.path)
         assert len(tail) > old
-        assert is_cycle(t, tail) and is_path_of(t, path)
+        assert is_cycle(t, tail) and is_path(t, path)
         assert path[-1] in tail
         assert verify_packing(t, new_packing, 9, 1) == (True, None)
         free = t.full_mask & ~new_packing.vertex_mask()
