@@ -44,7 +44,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--input", required=True, help="TRN file or - for stdin")
     p.add_argument("--budget", type=int, default=None, help="max move attempts")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--format", choices=("text", "structured"), default="text")
 
     p = sub.add_parser("verify", help="check a packing document")
@@ -52,14 +51,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--packing", required=True)
     p.add_argument("--input", required=True)
-    p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("oracle", help="exact maximum disjoint q-cycles")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--limit", type=int, default=None)
     p.add_argument("--cap", type=int, default=oracle.DEFAULT_CYCLE_CAP)
-    p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("gen", help="emit a tournament in TRN form")
     p.add_argument(
@@ -92,7 +89,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hamcycle", help="print a Hamiltonian cycle (debugging)")
     p.add_argument("--input", required=True)
-    p.add_argument("--seed", type=int, default=None)
     return parser
 
 

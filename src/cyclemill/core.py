@@ -62,14 +62,18 @@ class Tournament:
         if not 1 <= n <= MAX_VERTICES:
             raise VertexRangeError(f"vertex count {n} outside 1..{MAX_VERTICES}")
         full = (1 << n) - 1
-        cols = [0] * n
         for i, row in enumerate(rows):
             if row & ~full:
                 raise VertexRangeError(f"row {i} references vertices outside 0..{n - 1}")
             if row >> i & 1:
                 raise SelfLoopError(f"vertex {i} has a self-loop")
-            for j in bits(row):
-                cols[j] |= 1 << i
+        # Transpose at C speed.  Stack the binary strings of rows n-1 down to 0:
+        # character column k of that grid, read as a binary number, has bit i
+        # equal to bit n-1-k of rows[i], so it is cols[n-1-k].
+        fmt = f"0{n}b"
+        cols = [
+            int("".join(col), 2) for col in zip(*[format(row, fmt) for row in reversed(rows)])
+        ][::-1]
         for i in range(n):
             if rows[i] & cols[i]:
                 j = next(bits(rows[i] & cols[i]))
@@ -196,22 +200,14 @@ def build_tournament(n: int, arcs: Iterable[tuple[int, int]]) -> Tournament:
     if not 1 <= n <= MAX_VERTICES:
         raise VertexRangeError(f"vertex count {n} outside 1..{MAX_VERTICES}")
     rows = [0] * n
-    seen = set()
     for i, j in arcs:
         if not (0 <= i < n and 0 <= j < n):
             raise VertexRangeError(f"arc ({i}, {j}) outside 0..{n - 1}")
         if i == j:
             raise SelfLoopError(f"self-loop on vertex {i}")
-        pair = (min(i, j), max(i, j))
-        if pair in seen:
-            raise DuplicatePairError(f"duplicate pair {{{pair[0]}, {pair[1]}}}")
-        seen.add(pair)
+        if (rows[i] >> j | rows[j] >> i) & 1:
+            raise DuplicatePairError(f"duplicate pair {{{min(i, j)}, {max(i, j)}}}")
         rows[i] |= 1 << j
-    if len(seen) != n * (n - 1) // 2:
-        for i in range(n):
-            for j in range(i + 1, n):
-                if (i, j) not in seen:
-                    raise MissingPairError(f"missing pair {{{i}, {j}}}")
     return Tournament(rows)
 
 

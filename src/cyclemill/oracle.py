@@ -7,6 +7,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+from . import trn
 from .core import Cycle, Tournament, bits, mask_of
 from .gen import derive_seed, random_tournament
 from .packer import CyclePacking
@@ -176,13 +177,6 @@ class SearchReport:
         return "\n".join(lines) + "\n"
 
 
-def _inline_trn(t: Tournament) -> str:
-    rows = "".join(
-        "".join("1" if t.rows[i] >> j & 1 else "0" for j in range(t.n)) for i in range(t.n)
-    )
-    return f"{t.n} {rows}"
-
-
 def _pair_bits(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
@@ -235,7 +229,7 @@ def _test_instance(spec: SearchSpec, t: Tournament, report: SearchReport) -> Non
     report.examined += 1
     count, _ = max_disjoint_q_cycles(t, spec.q, limit=spec.k)
     if count < spec.k:
-        report.violators.append(_inline_trn(t))
+        report.violators.append(f"{t.n} {''.join(trn.rows_text(t))}")
 
 
 def _exhaustive_scan(spec: SearchSpec, n: int, shards: int, report: SearchReport) -> None:

@@ -2,19 +2,21 @@
 
 from __future__ import annotations
 
-from .core import MAX_VERTICES, Tournament
+from .core import MAX_VERTICES, Tournament, TournamentError
 
 
 class TrnParseError(ValueError):
     """Input is not a well-formed TRN document."""
 
 
+def rows_text(t: Tournament) -> list[str]:
+    """Row ``i`` as ``n`` characters of 0/1, column ``j`` being ``1`` iff ``i`` beats ``j``."""
+    fmt = f"0{t.n}b"
+    return [format(row, fmt)[::-1] for row in t.rows]
+
+
 def dumps(t: Tournament) -> str:
-    lines = [str(t.n)]
-    for i in range(t.n):
-        row = t.rows[i]
-        lines.append("".join("1" if row >> j & 1 else "0" for j in range(t.n)))
-    return "\n".join(lines) + "\n"
+    return "\n".join([str(t.n), *rows_text(t)]) + "\n"
 
 
 def loads(text: str) -> Tournament:
@@ -31,16 +33,13 @@ def loads(text: str) -> Tournament:
         raise TrnParseError(f"expected {n} rows, found {len(lines) - 1}")
     rows = []
     for i, line in enumerate(lines[1:]):
-        if len(line) != n or any(ch not in "01" for ch in line):
+        if len(line) != n or line.strip("01"):
             raise TrnParseError(f"row {i} is not {n} characters of 0/1: {line!r}")
         if line[i] != "0":
             raise TrnParseError(f"row {i} has a nonzero diagonal entry")
-        rows.append(int(line[::-1], 2) if line.strip("0") else 0)
-    for i in range(n):
-        for j in range(i + 1, n):
-            a = rows[i] >> j & 1
-            b = rows[j] >> i & 1
-            if a == b:
-                which = "both" if a else "neither"
-                raise TrnParseError(f"{which} of the arcs between {i} and {j} present")
-    return Tournament(rows)
+        rows.append(int(line[::-1], 2))
+    del body, lines  # the constructor's transpose builds its own row strings
+    try:
+        return Tournament(rows)
+    except TournamentError as exc:
+        raise TrnParseError(str(exc)) from exc

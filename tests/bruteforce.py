@@ -1,12 +1,14 @@
 """Independent reference implementations used only to check the package.
 
-Everything here works from Tournament.arc alone and is deliberately naive:
-exhaustive DFS for cycles, exponential search for matchings and packings.
+Everything here works from Tournament.arc alone, apart from the pairwise
+validator, which reads raw row bits, and is deliberately naive: exhaustive DFS
+for cycles, exponential search for matchings and packings, one pair at a time
+for validity.
 """
 
 from itertools import combinations, permutations
 
-from cyclemill.core import Tournament
+from cyclemill.core import DuplicatePairError, MissingPairError, SelfLoopError, Tournament
 
 
 def all_tournaments(n):
@@ -146,3 +148,25 @@ def is_strong_brute(t):
         if len(seen) != t.n:
             return False
     return True
+
+
+def pairwise_validate(rows):
+    """Check out-neighbor rows one vertex pair at a time.
+
+    Returns (in-masks, None) for a tournament, else (None, (error class, i, j))
+    for the first faulty pair: self-loops first, by vertex, then the pairs
+    i < j in lexicographic order.  In-masks are worked out bit by bit.
+    """
+    n = len(rows)
+    cols = [sum(1 << i for i in range(n) if rows[i] >> j & 1) for j in range(n)]
+    for i in range(n):
+        if rows[i] >> i & 1:
+            return None, (SelfLoopError, i, i)
+    for i in range(n):
+        for j in range(i + 1, n):
+            forward, backward = rows[i] >> j & 1, cols[i] >> j & 1
+            if forward and backward:
+                return None, (DuplicatePairError, i, j)
+            if not forward and not backward:
+                return None, (MissingPairError, i, j)
+    return cols, None

@@ -74,11 +74,25 @@ class TestPack:
         bad.write_text("3\n010\n001\n")
         assert main(["pack", "--q", "3", "--k", "1", "--input", str(bad)]) == 2
 
-    def test_budget_and_seed_flags_accepted(self, paley_file, capsys):
-        rc = main(
-            ["pack", "--q", "3", "--k", "2", "--input", paley_file, "--budget", "0", "--seed", "5"]
-        )
-        assert rc == 0  # greedy alone succeeds; --seed is accepted everywhere
+    def test_budget_flag_accepted(self, paley_file, capsys):
+        rc = main(["pack", "--q", "3", "--k", "2", "--input", paley_file, "--budget", "0"])
+        assert rc == 0  # greedy alone succeeds
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["pack", "--q", "3", "--k", "2"],
+            ["verify", "--q", "3", "--k", "2", "--packing", "out.txt"],
+            ["oracle", "--q", "3"],
+            ["hamcycle"],
+        ],
+        ids=lambda args: args[0],
+    )
+    def test_seed_flag_rejected_where_unused(self, args, paley_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*args, "--input", paley_file, "--seed", "5"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
 
 
 class TestVerify:

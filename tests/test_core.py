@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bruteforce import all_tournaments, dfs_cycle_lengths
+from bruteforce import all_tournaments, dfs_cycle_lengths, pairwise_validate
 from conftest import transitive
 from cyclemill import (
     DuplicatePairError,
@@ -29,6 +29,10 @@ class TestBuild:
     def test_duplicate_pair(self):
         with pytest.raises(DuplicatePairError):
             build_tournament(3, [(0, 1), (1, 0), (1, 2), (0, 2)])
+
+    def test_repeated_arc(self):
+        with pytest.raises(DuplicatePairError):
+            build_tournament(3, [(0, 1), (0, 1), (1, 2), (0, 2)])
 
     def test_missing_pair(self):
         with pytest.raises(MissingPairError):
@@ -59,6 +63,41 @@ class TestBuild:
         arcs = [(i, j) for i in range(n) for j in range(n) if i != j and t.arc(i, j)]
         rnd.shuffle(arcs)
         assert build_tournament(n, arcs) == t
+
+
+class TestConstructorAgainstPairwiseReference:
+    @given(
+        st.integers(1, 24),
+        st.integers(0, 2**32),
+        st.sampled_from(["none", "flip", "set", "clear", "diagonal"]),
+        st.integers(0, 23),
+        st.integers(0, 23),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_accepts_exactly_what_the_reference_accepts(self, n, seed, edit, i, j):
+        rows = list(random_tournament(n, seed).rows)
+        i, j = i % n, j % n
+        if edit == "diagonal":
+            rows[i] |= 1 << i
+        elif edit != "none" and i != j:
+            if edit == "flip":
+                rows[i] ^= 1 << j
+            elif edit == "set":
+                rows[i] |= 1 << j
+            else:
+                rows[i] &= ~(1 << j)
+        cols, fault = pairwise_validate(rows)
+        if fault is None:
+            assert Tournament(rows).cols == tuple(cols)
+        else:
+            with pytest.raises(fault[0]):
+                Tournament(rows)
+
+    def test_reports_the_faulty_pair(self):
+        rows = [0b110, 0b101, 0b000]  # 0 beats 1 and 1 beats 0; 2 loses to both
+        assert pairwise_validate(rows) == (None, (DuplicatePairError, 0, 1))
+        with pytest.raises(DuplicatePairError, match="between 0 and 1"):
+            Tournament(rows)
 
 
 class TestDegrees:

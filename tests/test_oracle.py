@@ -12,6 +12,7 @@ from cyclemill import (
     enumerate_q_cycles,
     is_cycle,
     max_disjoint_q_cycles,
+    trn,
     verify_packing,
 )
 from cyclemill.gen import random_tournament
@@ -113,6 +114,25 @@ class TestSearch:
         report = counterexample_search(spec)
         assert report.examined == 8 and len(report.violators) == 6
         assert all(line.startswith("3 ") for line in report.violators)
+
+    def test_violator_lines_are_trn_rows(self):
+        spec = SearchSpec(q=3, k=1, n_range=(3, 3), degree_floor=0)
+        report = counterexample_search(spec)
+        assert report.violators == [
+            "3 000100110",
+            "3 010000110",
+            "3 011000010",
+            "3 000101100",
+            "3 001101000",
+            "3 011001000",
+        ]
+        for line in report.violators:
+            count, bits_text = line.split(" ")
+            n = int(count)
+            text = "\n".join([count, *(bits_text[i * n:(i + 1) * n] for i in range(n))]) + "\n"
+            t = trn.loads(text)
+            assert max_disjoint_q_cycles(t, 3)[0] < 1
+            assert trn.dumps(t) == text
 
     def test_shard_invariance(self):
         spec = SearchSpec(q=3, k=1, n_range=(3, 4), degree_floor=0)

@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclemill import trn
+from cyclemill import Tournament, trn
+from cyclemill.core import MAX_VERTICES, TournamentError
 from cyclemill.gen import random_tournament
 
 PALEY_TRN = "7\n0110100\n0011010\n0001101\n1000110\n0100011\n1010001\n1101000\n"
@@ -47,3 +48,32 @@ def test_round_trip(seed, n):
 def test_parse_errors(text):
     with pytest.raises(trn.TrnParseError):
         trn.loads(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "3\n010\n101\n100\n",  # antisymmetry: 1 beats 0 and 0 beats 1
+        "3\n010\n001\n000\n",  # missing arc between 0 and 2
+    ],
+)
+def test_pair_errors_come_from_the_constructor(text):
+    with pytest.raises(trn.TrnParseError) as exc:
+        trn.loads(text)
+    assert isinstance(exc.value.__cause__, TournamentError)
+
+
+def test_round_trip_at_the_vertex_ceiling():
+    n = MAX_VERTICES
+    full = (1 << n) - 1
+    rows = [full ^ ((1 << (i + 1)) - 1) for i in range(n)]  # i beats every j > i
+    for i, j in ((0, n - 1), (17, 18), (1000, 3000), (n - 2, n - 1)):
+        rows[i] ^= 1 << j
+        rows[j] ^= 1 << i
+    t = Tournament(rows)
+    text = trn.dumps(t)
+    assert trn.loads(text) == t
+    head, last = text.rstrip("\n").rsplit("\n", 1)
+    corrupt = "1" if last[5] == "0" else "0"
+    with pytest.raises(trn.TrnParseError):
+        trn.loads(f"{head}\n{last[:5]}{corrupt}{last[6:]}\n")
