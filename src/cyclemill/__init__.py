@@ -10,6 +10,7 @@ from .classic import (
 )
 from .core import (
     Cycle,
+    CyclePacking,
     DuplicatePairError,
     MissingPairError,
     Path,
@@ -37,7 +38,6 @@ from .oracle import (
     max_disjoint_q_cycles,
 )
 from .packer import (
-    CyclePacking,
     PackBudget,
     PackReport,
     PathPartition,

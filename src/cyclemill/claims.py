@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 from . import surgery
 from .classic import hamiltonian_cycle
-from .core import Tournament, mask_of
+from .core import Tournament, is_cycle, mask_of
 from .gen import derive_seed, random_tournament
 from .matching import dominating_vertices, max_matching_with_cover
 
@@ -216,6 +216,4 @@ def _brute_matching(t, xs, ys, used=frozenset()) -> int:
 
 
 def _valid_cycle(t, cycle, length) -> bool:
-    if len(cycle) != length or len(set(cycle)) != length:
-        return False
-    return all(t.arc(a, b) for a, b in zip(cycle, cycle[1:] + cycle[:1]))
+    return len(cycle) == length and is_cycle(t, cycle)

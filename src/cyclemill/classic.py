@@ -98,11 +98,7 @@ def hamiltonian_cycle(t: Tournament, mask: int | None = None) -> Cycle:
     size = mask.bit_count()
     if size < 3:
         raise NotStrongError(f"no cycle exists on {size} vertex(es)")
-    _require_strong(t, mask)
-    cycle = _triangle_through(t, next(bits(mask)), mask)
-    while len(cycle) < size:
-        cycle = _grow_cycle(t, cycle, None, mask)
-    return cycle
+    return cycle_of_length(t, size, mask)
 
 
 def cycle_of_length(t: Tournament, length: int, mask: int | None = None) -> Cycle:

@@ -12,8 +12,8 @@ import sys
 
 from . import classic, gen, oracle, packer, trn
 from .claims import CLAIM_IDS, run_claim_check
-from .core import Cycle, TournamentError
-from .packer import CyclePacking, PackBudget
+from .core import Cycle, CyclePacking, TournamentError
+from .packer import PackBudget
 
 
 def _read_tournament(path: str):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 MAX_VERTICES = 4096
@@ -45,6 +46,23 @@ def mask_of(vertices: Iterable[int]) -> int:
     for v in vertices:
         m |= 1 << v
     return m
+
+
+@dataclass(frozen=True)
+class CyclePacking:
+    """Pairwise disjoint cycles of one common length q."""
+
+    q: int
+    cycles: tuple[Cycle, ...]
+
+    def __len__(self) -> int:
+        return len(self.cycles)
+
+    def vertex_mask(self) -> int:
+        m = 0
+        for c in self.cycles:
+            m |= mask_of(c)
+        return m
 
 
 class Tournament:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 
-from .core import Tournament, VertexRangeError
+from .core import CyclePacking, Tournament, VertexRangeError
 
 _M64 = (1 << 64) - 1
 
@@ -212,19 +212,17 @@ def _chorded_cycle(b: _ArcBuilder, labels: list[int], rng: random.Random) -> tup
     return tuple(labels)
 
 
-def _check_planted(t, packing, mover, expected: str):
-    from . import packer
+def _check_planted(t, packing, expected: str):
+    from . import packer  # packer imports the oracle, which builds on this module
 
     partition = packer.partition_remainder(t, packing)
-    result = mover(t, packing, partition)
+    result = getattr(packer, expected)(t, packing, partition)
     if result is None:
         raise AssertionError(f"planted {expected} instance failed its own hypothesis")
     return t, packing, expected
 
 
 def _plant_absorb(q: int, seed: int):
-    from . import packer
-
     rng = random.Random(derive_seed(seed, 0xC2))
     n = 2 * q
     b = _ArcBuilder(n)
@@ -257,13 +255,11 @@ def _plant_absorb(q: int, seed: int):
         b.orient(z, w)
     b.fill_random(rng)
     t = b.build()
-    packing = packer.CyclePacking(q, (cycle,))
-    return _check_planted(t, packing, packer.move_absorb, "move_absorb")
+    packing = CyclePacking(q, (cycle,))
+    return _check_planted(t, packing, "move_absorb")
 
 
 def _plant_two_for_one(q: int, seed: int):
-    from . import packer
-
     rng = random.Random(derive_seed(seed, 0xC4))
     r = 4 * q - 2
     n = q + r
@@ -278,13 +274,11 @@ def _plant_two_for_one(q: int, seed: int):
     b.orient(1, q + 1)
     b.fill_random(rng)
     t = b.build()
-    packing = packer.CyclePacking(q, (cycle,))
-    return _check_planted(t, packing, packer.move_two_for_one, "move_two_for_one")
+    packing = CyclePacking(q, (cycle,))
+    return _check_planted(t, packing, "move_two_for_one")
 
 
 def _plant_three_for_two(q: int, seed: int):
-    from . import packer
-
     rng = random.Random(derive_seed(seed, 0xC5))
     r = 4 * q - 1
     n = 2 * q + r
@@ -303,12 +297,12 @@ def _plant_three_for_two(q: int, seed: int):
         b.orient(q + off, 2 * q + off)
     b.fill_random(rng)
     t = b.build()
-    packing = packer.CyclePacking(q, (cycle_a, cycle_b))
-    return _check_planted(t, packing, packer.move_three_for_two, "move_three_for_two")
+    packing = CyclePacking(q, (cycle_a, cycle_b))
+    return _check_planted(t, packing, "move_three_for_two")
 
 
 def _plant_tail(q: int, seed: int, block_size: int):
-    from . import packer
+    from . import packer  # as in _check_planted
 
     rng = random.Random(derive_seed(seed, 0xCA + block_size))
     stem = 6
@@ -332,7 +326,7 @@ def _plant_tail(q: int, seed: int, block_size: int):
         b.orient(c, stem_labels[1])
     b.fill_random(rng)
     t = b.build()
-    packing = packer.CyclePacking(q, (cycle,))
+    packing = CyclePacking(q, (cycle,))
     partition = packer.partition_remainder(t, packing)
     result = packer.grow_tail(t, packing, partition.path)
     if result is None:

@@ -8,9 +8,8 @@ import random
 from dataclasses import dataclass, field
 
 from . import trn
-from .core import Cycle, Tournament, bits, mask_of
+from .core import Cycle, CyclePacking, Tournament, bits, mask_of
 from .gen import derive_seed, random_tournament
-from .packer import CyclePacking
 
 DEFAULT_CYCLE_CAP = 200_000
 
@@ -23,48 +22,43 @@ def enumerate_q_cycles(t: Tournament, q: int, cap: int = DEFAULT_CYCLE_CAP) -> t
     """All q-cycles up to rotation, lowest vertex first; truncated at ``cap``.
 
     Returns (cycles, overflowed).  Cycles live inside strong components, so
-    the DFS never leaves one.
+    the search never leaves one.  Paths grow in ascending label order from an
+    explicit stack holding, per path vertex, its successors not tried yet; the
+    q-th vertex is read off directly as a successor that beats ``start``.
     """
     if q < 3:
         raise ValueError("cycle length must be at least 3")
-    rows = t.rows
+    rows, cols = t.rows, t.cols
     found: list[Cycle] = []
-    overflow = False
-
-    def dfs(used: int) -> bool:
-        nonlocal overflow
-        last = path[-1]
-        if len(path) == q:
-            if rows[last] >> start & 1:
-                if len(found) >= cap:
-                    overflow = True
-                    return False
-                found.append(tuple(path))
-            return True
-        for v in bits(rows[last] & allowed & ~used):
-            path.append(v)
-            ok = dfs(used | (1 << v))
-            path.pop()
-            if not ok:
-                return False
-        return True
-
-    try:
-        for comp in t.strong_components():
-            if len(comp) < q:
-                continue
-            comp_mask = mask_of(comp)
-            for start in sorted(comp):
-                allowed = comp_mask & ~((1 << (start + 1)) - 1)  # vertices above start
-                path = [start]
-                if not dfs(1 << start):
-                    return found, True
-        return found, overflow
-    finally:
-        # dfs reaches itself through its closure.  Breaking that reference
-        # cycle lets reference counting free ``found`` as soon as the caller
-        # drops it, instead of at the next full garbage collection.
-        del dfs
+    for comp in t.strong_components():
+        if len(comp) < q:
+            continue
+        comp_mask = mask_of(comp)
+        for start in sorted(comp):
+            free = comp_mask & ~((2 << start) - 1)  # vertices above start, off the path
+            closing = free & cols[start]
+            path = [start]
+            untried = [rows[start] & free]
+            while untried:
+                succ = untried[-1]
+                if not succ:
+                    untried.pop()
+                    free |= 1 << path.pop()
+                    continue
+                low = succ & -succ
+                untried[-1] = succ ^ low
+                v = low.bit_length() - 1
+                free ^= low
+                if len(path) < q - 2:
+                    path.append(v)
+                    untried.append(rows[v] & free)
+                    continue
+                for w in bits(rows[v] & free & closing):
+                    if len(found) >= cap:
+                        return found, True
+                    found.append((*path, v, w))
+                free |= low
+    return found, False
 
 
 def max_disjoint_q_cycles(
@@ -78,17 +72,16 @@ def max_disjoint_q_cycles(
     Branches on the lowest uncovered vertex: either one of its cycles joins the
     packing or the vertex is left uncovered.  With ``limit`` set, the search
     stops as soon as that many disjoint cycles are found, so a result below the
-    limit is still the exact maximum.
+    limit is still the exact maximum.  Raises ``OracleCapError`` when the
+    instance has more than ``cycle_cap`` q-cycles.
+
+    The search keeps one lazy iterator of child nodes per level on an explicit
+    stack; a node is (free vertices, chosen cycles as a linked list of
+    ``(index, rest)`` pairs, their number).
     """
     cycles, overflow = enumerate_q_cycles(t, q, cycle_cap)
     if overflow:
         raise OracleCapError(f"more than {cycle_cap} {q}-cycles; exact search refused")
-    return _branch_and_bound(t, q, cycles, limit)
-
-
-def _branch_and_bound(
-    t: Tournament, q: int, cycles: list[Cycle], limit: int | None
-) -> tuple[int, CyclePacking]:
     masks = [mask_of(c) for c in cycles]
     union = 0
     for m in masks:
@@ -98,37 +91,35 @@ def _branch_and_bound(
         for v in bits(m):
             by_vertex[v].append(idx)
 
-    best: list[int] = []
-    chosen: list[int] = []
-
-    def search(free: int) -> bool:
-        nonlocal best
-        if len(chosen) > len(best):
-            best = chosen.copy()
-            if limit is not None and len(best) >= limit:
-                return False
-        if len(chosen) + (free & union).bit_count() // q <= len(best):
-            return True
+    best, best_len = None, 0
+    levels = [iter([(t.full_mask, None, 0)])]
+    while levels:
+        node = next(levels[-1], None)
+        if node is None:
+            levels.pop()
+            continue
+        free, chosen, depth = node
+        if depth > best_len:
+            best, best_len = chosen, depth
+            if limit is not None and best_len >= limit:
+                break
         live = free & union
-        if not live:
-            return True
-        v = next(bits(live))
-        for idx in by_vertex[v]:
-            if masks[idx] & ~free:
-                continue
-            chosen.append(idx)
-            ok = search(free & ~masks[idx])
-            chosen.pop()
-            if not ok:
-                return False
-        return search(free & ~(1 << v))
+        if depth + live.bit_count() // q > best_len:
+            levels.append(_children(free, chosen, depth, live & -live, masks, by_vertex))
+    picked = []
+    while best is not None:
+        idx, best = best
+        picked.append(cycles[idx])
+    return best_len, CyclePacking(q, tuple(reversed(picked)))
 
-    try:
-        search(t.full_mask)
-    finally:
-        del search  # break the closure's self-reference, as in enumerate_q_cycles
-    witness = CyclePacking(q, tuple(cycles[i] for i in best))
-    return len(best), witness
+
+def _children(free, chosen, depth, low, masks, by_vertex):
+    """Child nodes in visiting order: each cycle through the lowest live vertex
+    (the bit ``low``) that fits in ``free``, then that vertex left uncovered."""
+    for idx in by_vertex[low.bit_length() - 1]:
+        if not masks[idx] & ~free:
+            yield free & ~masks[idx], (idx, chosen), depth + 1
+    yield free & ~low, chosen, depth
 
 
 @dataclass(frozen=True)

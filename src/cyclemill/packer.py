@@ -15,25 +15,9 @@ from .classic import (
     hamiltonian_cycle,
     hamiltonian_path,
 )
-from .core import Cycle, Path, Tournament, VertexSet, bits, is_cycle, is_path, mask_of
+from .core import Cycle, CyclePacking, Path, Tournament, VertexSet, bits, is_cycle, is_path, mask_of
 from .matching import dominating_vertices, max_matching_with_cover
-
-
-@dataclass(frozen=True)
-class CyclePacking:
-    """Pairwise disjoint cycles of one common length q."""
-
-    q: int
-    cycles: tuple[Cycle, ...]
-
-    def __len__(self) -> int:
-        return len(self.cycles)
-
-    def vertex_mask(self) -> int:
-        m = 0
-        for c in self.cycles:
-            m |= mask_of(c)
-        return m
+from .oracle import OracleCapError, max_disjoint_q_cycles
 
 
 @dataclass(frozen=True)
@@ -668,12 +652,12 @@ def pack(t: Tournament, q: int, k: int, budget: PackBudget | None = None) -> Pac
 
     fallback_used = False
     if len(packing) < k:
-        from . import oracle  # local import: the oracle builds on this module
-
-        cycles, overflow = oracle.enumerate_q_cycles(t, q, budget.oracle_cycle_cap)
-        if not overflow:
+        try:
+            count, witness = max_disjoint_q_cycles(t, q, k, budget.oracle_cycle_cap)
+        except OracleCapError:
+            pass
+        else:
             fallback_used = True
-            count, witness = oracle._branch_and_bound(t, q, cycles, limit=k)
             if count > len(packing):
                 moves.append(("oracle", len(packing), count))
                 packing = witness

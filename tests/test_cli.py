@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from conftest import chained_triangles
 from cyclemill import cli, trn
 from cyclemill.cli import main
 
@@ -167,6 +168,32 @@ class TestHamcycle:
         t4 = tmp_path / "t4.trn"
         t4.write_text("4\n0111\n0011\n0001\n0000\n")
         assert main(["hamcycle", "--input", str(t4)]) == 2
+
+
+class TestChainedTriangles:
+    """A chain of more triangles than the recursion limit, the shape of the
+    benchmark's ceiling oracle input: the exact search must not recurse."""
+
+    @pytest.fixture(scope="class")
+    def chain(self, tmp_path_factory):
+        m = sys.getrecursionlimit() + 1
+        path = tmp_path_factory.mktemp("chain") / "chain.trn"
+        path.write_text(trn.dumps(chained_triangles(m)))
+        return m, str(path)
+
+    def test_oracle_exit_0(self, chain):
+        m, path = chain
+        code, out, err = run_cli(["oracle", "--q", "3", "--input", path])
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[0] == f"max={m}" and len(lines) == m + 1
+
+    def test_pack_exit_1(self, chain):
+        m, path = chain
+        code, out, err = run_cli(["pack", "--q", "3", "--k", str(m + 1), "--input", path])
+        assert (code, err) == (1, "")
+        assert out.startswith(f"status=hypothesis_unmet\nq=3\nk={m + 1}\n")
+        assert out.endswith(f"MOVE greedy 0 {m}\n")
 
 
 class TestInternalError:

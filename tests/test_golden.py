@@ -5,13 +5,17 @@ The corpus covers every planted move kind at q in {7, 9, 11}, a seeded sample
 of the regular 7-vertex tournaments, the acceptance-criterion-1 instances and
 dense degree-floored instances at n=161.  Since ``pack`` finds most planted
 targets by greedy alone, the ``moves`` file also records what each move
-returns when called directly on every planted packing.  A refactor that
-changes any cycle, tie-break or move log shows up here.  Regenerate the files
+returns when called directly on every planted packing, and the ``oracle`` file
+records the exact oracle alone: ``enumerate_q_cycles`` (count, digest and end
+cycles, at the default cap and at one that overflows) and the count and witness
+of ``max_disjoint_q_cycles`` at each ``limit``.  A refactor that changes any
+cycle, tie-break or move log shows up here.  Regenerate the files
 only when a change of output is intended::
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import hashlib
 import random
 import sys
 from pathlib import Path
@@ -20,6 +24,8 @@ import pytest
 
 from cyclemill import (
     grow_tail,
+    enumerate_q_cycles,
+    max_disjoint_q_cycles,
     min_degree_tournament,
     move_absorb,
     move_three_for_two,
@@ -27,6 +33,7 @@ from cyclemill import (
     pack,
     partition_remainder,
     planted_move_instance,
+    q_cycle_free_tournament,
     random_tournament,
 )
 from cyclemill.gen import PLANTED_KINDS
@@ -99,12 +106,43 @@ def render_moves() -> str:
     return "".join(out)
 
 
+def oracle_instances():
+    for n in range(6, 14):
+        for seed in range(2):
+            yield f"random n={n} seed={seed}", random_tournament(n, 100 * n + seed)
+        free_q = 4 + n % 4
+        yield f"q_cycle_free n={n} q={free_q} seed={n}", q_cycle_free_tournament(n, free_q, n)
+
+
+def render_cycles(label: str, cycles, overflow) -> str:
+    digest = hashlib.sha256(repr(cycles).encode()).hexdigest()[:16]
+    ends = f" first={cycles[0]} last={cycles[-1]}" if cycles else ""
+    return f"{label} count={len(cycles)} overflow={overflow} sha={digest}{ends}\n"
+
+
+def render_oracle() -> str:
+    out = []
+    for name, t in oracle_instances():
+        for q in (3, 4, 5, 6):
+            out.append(f"## {name} q={q}\n")
+            cycles, overflow = enumerate_q_cycles(t, q)
+            out.append(render_cycles("enumerate", cycles, overflow))
+            if cycles:
+                cap = len(cycles) // 2
+                out.append(render_cycles(f"enumerate cap={cap}", *enumerate_q_cycles(t, q, cap)))
+            for limit in (None, 1, 2):
+                count, witness = max_disjoint_q_cycles(t, q, limit)
+                out.append(f"max limit={limit} {count} {witness.cycles}\n")
+    return "".join(out)
+
+
 GROUPS = {
     "planted": lambda: render_pack(planted_cases()),
     "regular7": lambda: render_pack(regular7_cases()),
     "criterion1": lambda: render_pack(criterion1_cases()),
     "dense": lambda: render_pack(dense_cases()),
     "moves": render_moves,
+    "oracle": render_oracle,
 }
 
 

@@ -1,13 +1,15 @@
 import gc
 import random
+import sys
 
 import pytest
 
 from bruteforce import all_tournaments, brute_max_disjoint, dfs_q_cycles
-from conftest import transitive
+from conftest import chained_triangles, transitive
 from cyclemill import (
     OracleCapError,
     SearchSpec,
+    Tournament,
     counterexample_search,
     enumerate_q_cycles,
     is_cycle,
@@ -48,6 +50,15 @@ class TestEnumerate:
         cycles, overflow = enumerate_q_cycles(paley7, 3, cap=5)
         assert overflow and len(cycles) == 5
 
+    def test_path_longer_than_the_recursion_limit(self):
+        # transitive but for the arc n-1 -> 0: the first path tried, 0, 1, ...,
+        # n-1, is a Hamiltonian cycle, which at cap 0 ends the search at once
+        n = sys.getrecursionlimit() + 10
+        rows = list(transitive(n).rows)
+        rows[0] ^= 1 << n - 1
+        rows[n - 1] |= 1
+        assert enumerate_q_cycles(Tournament(rows), n, cap=0) == ([], True)
+
 
 class TestMaxDisjoint:
     def test_paley(self, paley7):
@@ -70,6 +81,13 @@ class TestMaxDisjoint:
     def test_cap_error(self, paley7):
         with pytest.raises(OracleCapError):
             max_disjoint_q_cycles(paley7, 3, cycle_cap=5)
+
+    def test_chain_longer_than_the_recursion_limit(self):
+        m = sys.getrecursionlimit() + 1
+        t = chained_triangles(m)
+        count, witness = max_disjoint_q_cycles(t, 3)
+        assert count == m
+        assert verify_packing(t, witness, 3, m) == (True, None)
 
     def test_brute_force_parity_random(self):
         rng = random.Random(23)
@@ -168,7 +186,7 @@ class TestSearch:
 
 
 class TestNoCyclicGarbage:
-    """The oracle's recursive searches must leave nothing for the cycle
+    """The oracle's searches must leave nothing for the cycle
     collector, so their cycle lists die with the caller's last reference."""
 
     @pytest.mark.parametrize(
